@@ -9,6 +9,12 @@
 // path — and the deep configurations gate the RPC-reduction ratio, so a
 // regression in either mechanism fails the binary (CI runs it).
 //
+// A churn phase then ingests into a non-portal shard between query rounds
+// and gates per-entry fingerprint invalidation against a whole-cache-flush
+// baseline portal, rebuilt here from outside the library
+// (bench/whole_cache_baseline.h): it swaps in an empty FederatedSource
+// whenever the ShardMap epoch or the cluster-wide mutation count moves.
+//
 // Usage: fig6_query_cache [max_depth]   (default 96; CI uses the default)
 
 #include <cstdio>
@@ -18,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/whole_cache_baseline.h"
 #include "src/cluster/cluster.h"
 #include "src/core/libpass.h"
 #include "src/cluster/federated_source.h"
@@ -38,7 +45,8 @@ constexpr double kRpcReductionGate = 5.0;
 // Churn-phase gate: with steady ingest into a non-portal shard between query
 // rounds, per-entry fingerprint invalidation must cut cache misses at least
 // this factor below the whole-cache-flush baseline (the pre-fingerprint
-// behavior, which drops everything on any mutation and re-fetches the world).
+// behavior, which drops everything on any mutation and re-fetches the
+// world; see bench/whole_cache_baseline.h).
 constexpr double kChurnMissReductionGate = 5.0;
 
 // Adapter hiding an underlying source's frontier batching: every batched
@@ -210,8 +218,8 @@ struct ChurnResult {
 // only absorbs ingest (new provenance rows on one /churn file) between
 // query rounds.
 // Two identically warmed portals answer each round — one with per-entry
-// fingerprint invalidation, one in the legacy whole-cache-flush mode — and
-// the accumulated misses measure how much of the cache each keeps.
+// fingerprint invalidation, one the bench-local whole-cache-flush baseline —
+// and the accumulated misses measure how much of the cache each keeps.
 ChurnResult RunChurnPhase(int shards, int depth, size_t cache_bytes,
                           int rounds) {
   Fixture fixture(shards, depth, /*spread=*/shards - 1);
@@ -230,18 +238,15 @@ ChurnResult RunChurnPhase(int shards, int depth, size_t cache_bytes,
 
   FederatedSource fine = fixture.cluster->Source(/*portal_shard=*/0,
                                                  cache_bytes);
-  FederatedSource flush = fixture.cluster->Source(/*portal_shard=*/0,
-                                                  cache_bytes);
-  flush.set_whole_cache_invalidation(true);
+  pass::bench::WholeCacheBaseline flush(fixture.cluster.get(), cache_bytes);
   pass::pql::Engine fine_engine(&fine);
-  pass::pql::Engine flush_engine(&flush);
 
   ChurnResult out;
   auto warm = fine_engine.Run(fixture.query);
   PASS_CHECK(warm.ok());
   PASS_CHECK(Rows(*warm) == fixture.want);
   out.entries_total = fine.stats().cache_misses - fine.stats().cache_evictions;
-  PASS_CHECK(flush_engine.Run(fixture.query).ok());
+  PASS_CHECK(flush.Run(fixture.query).ok());
   fine.ResetStats();
   flush.ResetStats();
 
@@ -260,7 +265,7 @@ ChurnResult RunChurnPhase(int shards, int depth, size_t cache_bytes,
     }
     PASS_CHECK(fixture.cluster->Sync().ok());
     auto fine_result = fine_engine.Run(fixture.query);
-    auto flush_result = flush_engine.Run(fixture.query);
+    auto flush_result = flush.Run(fixture.query);
     PASS_CHECK(fine_result.ok() && flush_result.ok());
     out.matches_merged = out.matches_merged &&
                          Rows(*fine_result) == fixture.want &&
@@ -270,9 +275,9 @@ ChurnResult RunChurnPhase(int shards, int depth, size_t cache_bytes,
   out.fine_misses = fine.stats().cache_misses;
   out.fine_invalidated = fine.stats().cache_entries_invalidated;
   out.fine_full = fine.stats().cache_invalidations_full;
-  out.flush_hits = flush.stats().cache_hits;
-  out.flush_misses = flush.stats().cache_misses;
-  out.flush_full = flush.stats().cache_invalidations_full;
+  out.flush_hits = flush.hits();
+  out.flush_misses = flush.misses();
+  out.flush_full = flush.full_flushes();
   return out;
 }
 
@@ -382,8 +387,8 @@ int main(int argc, char** argv) {
                       churn.matches_merged ? "yes" : "no");
         csv += line;
         // Fine-grained invalidation never full-flushes on churn and drops
-        // only the churn file's own entries; the legacy mode re-fetches the
-        // world every round. Deep configurations gate the miss reduction.
+        // only the churn file's own entries; the whole-cache baseline
+        // (bench/whole_cache_baseline.h) re-fetches the world every round. Deep configurations gate the miss reduction.
         PASS_CHECK(churn.fine_full == 0);
         PASS_CHECK(churn.flush_full > 0);
         if (depth >= 48) {

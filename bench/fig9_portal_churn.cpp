@@ -8,7 +8,8 @@
 // data) absorbs fresh provenance rows. Reported per cell: p50/p99 simulated
 // query latency, cache hit ratio, per-entry invalidations, and the miss
 // count of a whole-cache-flush baseline portal answering the same rounds —
-// the pre-fingerprint behavior. Gated: every session's answer equals the
+// the pre-fingerprint behavior, rebuilt outside the library in
+// bench/whole_cache_baseline.h. Gated: every session's answer equals the
 // merged database every round, fingerprint invalidation never full-flushes,
 // and on churn cells with a real cache budget the baseline pays at least
 // kChurnMissReductionGate x the misses.
@@ -31,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/whole_cache_baseline.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/portal.h"
 #include "src/core/libpass.h"
@@ -43,7 +45,6 @@ namespace {
 
 using pass::cluster::ClusterCoordinator;
 using pass::cluster::ClusterOptions;
-using pass::cluster::FederatedSource;
 using pass::cluster::PortalHandle;
 using pass::cluster::PortalSession;
 using pass::cluster::PortalSessionOptions;
@@ -195,10 +196,7 @@ CellResult RunCell(int sessions, int churn_writes, size_t cache_bytes,
     handles.push_back(std::move(*session));
     fleet.push_back(handles.back().get());
   }
-  FederatedSource flush = fixture.cluster->Source(/*portal_shard=*/0,
-                                                  cache_bytes);
-  flush.set_whole_cache_invalidation(true);
-  pass::pql::Engine flush_engine(&flush);
+  pass::bench::WholeCacheBaseline flush(fixture.cluster.get(), cache_bytes);
 
   // Warm every cache, then zero the counters: the cell measures the
   // steady-state rounds, not the cold fill.
@@ -208,7 +206,7 @@ CellResult RunCell(int sessions, int churn_writes, size_t cache_bytes,
     PASS_CHECK(Rows(*warm) == fixture.want);
     session->source().ResetStats();
   }
-  PASS_CHECK(flush_engine.Run(fixture.query).ok());
+  PASS_CHECK(flush.Run(fixture.query).ok());
   flush.ResetStats();
 
   CellResult out;
@@ -226,7 +224,7 @@ CellResult RunCell(int sessions, int churn_writes, size_t cache_bytes,
       PASS_CHECK(result.ok());
       out.matches = out.matches && Rows(*result) == fixture.want;
     }
-    auto flush_result = flush_engine.Run(fixture.query);
+    auto flush_result = flush.Run(fixture.query);
     PASS_CHECK(flush_result.ok());
     out.matches = out.matches && Rows(*flush_result) == fixture.want;
   }
@@ -238,8 +236,8 @@ CellResult RunCell(int sessions, int churn_writes, size_t cache_bytes,
     out.fine_full += stats.cache_invalidations_full;
     out.fine_evictions += stats.cache_evictions;
   }
-  out.flush_misses = flush.stats().cache_misses;
-  out.flush_full = flush.stats().cache_invalidations_full;
+  out.flush_misses = flush.misses();
+  out.flush_full = flush.full_flushes();
   out.p50_ns = Percentile(latencies, 0.50);
   out.p99_ns = Percentile(latencies, 0.99);
   tier.PublishMetrics();

@@ -35,12 +35,9 @@ ClusterCoordinator::ClusterCoordinator(ClusterOptions options)
     journals_.push_back(
         std::make_unique<ClusterJournal>(&machines_.back()->basefs()));
   }
-  IngestQueue::Options queue_options;
-  queue_options.batch_records = options.ingest_batch_records;
-  queue_options.pipelined = options.pipelined_replication;
-  queue_options.max_in_flight_batches = options.max_in_flight_batches;
   queue_ = std::make_unique<IngestQueue>(&env_, &net_, &shard_map_,
-                                         std::move(dbs), queue_options);
+                                         std::move(dbs),
+                                         options.ingest_batch_records);
 }
 
 workloads::WorkloadReport ClusterCoordinator::RunWorkload(

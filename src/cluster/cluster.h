@@ -17,10 +17,10 @@
 //     disclose INPUT edges to objects owned by shard A);
 //   * recovers each shard's Lasagna log into the shard-local ProvDb and
 //     pushes cross-shard entries through the batched IngestQueue
-//     (see src/cluster/ingest.h), charging network per batch — by default
-//     pipelined: batches are acked at the group-committed journal write
-//     and shipped on a background async timeline that only a Quiesce()
-//     barrier (taken by queries, migration, and recovery) waits out;
+//     (see src/cluster/ingest.h), charging network per batch — pipelined:
+//     batches are acked at the group-committed journal write and shipped
+//     on a background async timeline that only a Quiesce() barrier (taken
+//     by queries, migration, and recovery) waits out;
 //   * migrates pnode ranges between shards (MigrateRange) and rebalances
 //     skewed clusters (Rebalance) without changing query results;
 //   * journals every cross-shard mutation — replication batches and the
@@ -54,15 +54,9 @@ struct ClusterOptions {
   int shards = 4;
   uint64_t seed = 42;
   // Records per cross-shard replication batch; 1 = one RTT per record.
+  // Replication is always pipelined (see src/cluster/ingest.h), with at
+  // most IngestQueue::kMaxInFlightBatches transfers in flight.
   size_t ingest_batch_records = 64;
-  // Pipelined replication (the default): Sync acks a batch once its
-  // REPL_BATCH record is group-committed, and ships it on the background
-  // async timeline; false restores the sync-drain shape where every Sync
-  // waits for every remote ack inline (bench/fig8's baseline).
-  bool pipelined_replication = true;
-  // Bound on journaled-but-unacknowledged transfers in flight before the
-  // shipper blocks (backpressure).
-  size_t max_in_flight_batches = 16;
   sim::NetParams net_params;
   lasagna::LasagnaOptions lasagna_options;
   core::CycleAlgorithm cycle_algorithm = core::CycleAlgorithm::kCycleAvoidance;
@@ -205,18 +199,19 @@ class ClusterCoordinator {
   // any point (sim::Env::CrashAfterOps) is repaired by Recover(); the
   // interrupted call returns Unavailable.
   //
-  // Under pipelined replication (the default) Sync returns at the
-  // journal-durable point: each shard's batches are group-committed as
-  // REPL_BATCH records in one coalesced journal write and handed to the
-  // background shipper, whose in-flight transfers overlap whatever the
-  // cluster does next. Quiesce() is the barrier that waits them out;
-  // Source(), MigrateRange(), and Recover() take it implicitly.
+  // Sync returns at the journal-durable point: each shard's batches are
+  // group-committed as REPL_BATCH records in one coalesced journal write
+  // and handed to the background shipper, whose in-flight transfers
+  // overlap whatever the cluster does next. Quiesce() is the barrier that
+  // waits them out; Source(), MigrateRange(), and Recover() take it
+  // implicitly. Sync() followed directly by Quiesce() waits for every
+  // remote ack before the caller continues (the "sync-ack" baseline).
   Status Sync();
 
   // Wait until every in-flight replication transfer has completed, charging
   // only the time not already covered by foreground execution since the
-  // transfers were scheduled. No round trips; a no-op in sync-drain mode
-  // and on a crashed cluster. Returns the nanos charged.
+  // transfers were scheduled. No round trips; a no-op when nothing is in
+  // flight and on a crashed cluster. Returns the nanos charged.
   sim::Nanos Quiesce();
 
   // Repair the durable state after a coordinator crash, as a restarted

@@ -43,15 +43,11 @@ void IngestQueue::Offer(int source_shard, const lasagna::LogEntry& entry) {
 void IngestQueue::Enqueue(int destination, const lasagna::LogEntry& entry) {
   auto& queue = pending_[destination];
   if (queue.empty()) {
-    pending_since_[destination] = Now();
+    pending_since_[destination] = env_->clock().now();
   }
   queue.push_back(entry);
-  if (queue.size() >= options_.batch_records) {
-    if (options_.pipelined) {
-      Seal(destination);
-    } else {
-      FlushShardSync(destination);
-    }
+  if (queue.size() >= batch_records_) {
+    Seal(destination);
   }
 }
 
@@ -68,121 +64,41 @@ void IngestQueue::Seal(int destination) {
   ready_.push_back(std::move(batch));
 }
 
-void IngestQueue::RecordAck(const SealedBatch& batch) {
-  ++stats_.batches_acked;
-  if (env_ != nullptr) {
-    env_->obs()
-        .metrics()
-        .GetHistogram("ingest.ack_ns")
-        .Record(Now() - batch.enqueued_at);
-  }
-}
-
-void IngestQueue::FlushShardSync(int destination) {
-  auto& queue = pending_[destination];
-  if (queue.empty() || Crashed()) {
-    return;
-  }
-  obs::TraceCollector* trace =
-      env_ == nullptr ? nullptr : &env_->obs().trace();
-  sim::Nanos flush_start = Now();
-  obs::ScopedSpan flush_span(trace, "ingest.flush", destination);
+IngestQueue::Delivery IngestQueue::Deliver(
+    int destination, const std::vector<lasagna::LogEntry>& entries,
+    const char* rpc_span, const char* apply_span, bool async) {
+  obs::TraceCollector* trace = &env_->obs().trace();
+  Delivery delivery;
   std::string payload;
-  lasagna::EncodeLogEntries(&payload, queue);
-  // WAP for the cluster: the batch is durable in the journal before any of
-  // its effects (the network send, the remote apply) happen.
-  uint64_t batch_id = 0;
-  if (journal_ != nullptr) {
-    obs::ScopedSpan journal_span(trace, "journal.repl_batch");
-    batch_id = journal_->AppendReplBatch(destination, queue);
-  }
-  if (MaybeCrash()) {
-    return;  // journaled but never sent: recovery redelivers
-  }
+  lasagna::EncodeLogEntries(&payload, entries);
+  delivery.bytes = payload.size();
   // The batch "carries" the sender's trace context across the simulated
   // RPC boundary: the destination's apply span parents to this rpc span.
   obs::TraceContext rpc_ctx;
   {
-    obs::ScopedSpan rpc_span(trace, "rpc.repl_batch", destination);
-    if (trace != nullptr) {
-      rpc_ctx = trace->CurrentContext();
+    obs::ScopedSpan rpc(trace, rpc_span, destination);
+    rpc_ctx = trace->CurrentContext();
+    if (async) {
+      net_->RoundTripAsync(&timeline_, kBatchHeaderBytes + payload.size(),
+                           kAckBytes);
+    } else {
+      net_->RoundTrip(kBatchHeaderBytes + payload.size(), kAckBytes);
     }
-    net_->RoundTrip(kBatchHeaderBytes + payload.size(), kAckBytes);
   }
-  ++stats_.batches_sent;
-  stats_.bytes_sent += payload.size();
   waldo::ProvDb* db = shards_[destination];
-  {
-    obs::ScopedSpan apply_span(trace, rpc_ctx, "shard.apply_batch",
-                               destination);
-    for (const lasagna::LogEntry& entry : queue) {
-      // InsertUnique: redelivery of this batch after a crash cannot
-      // duplicate rows the destination already applied.
-      if (db->InsertUnique(entry)) {
-        ++stats_.entries_replicated;
-      }
-    }
-  }
-  if (MaybeCrash()) {
-    return;  // applied but unacknowledged: redelivery is a no-op
-  }
-  if (journal_ != nullptr) {
-    journal_->AppendReplApplied(batch_id);
-  }
-  SealedBatch acked;
-  acked.destination = destination;
-  acked.enqueued_at = pending_since_[destination];
-  queue.clear();
-  RecordAck(acked);
-  if (env_ != nullptr) {
-    obs::MetricRegistry& metrics = env_->obs().metrics();
-    obs::Labels labels = ShardLabel(destination);
-    metrics.GetCounter("ingest.flushes", labels).Add();
-    metrics.GetHistogram("ingest.flush_ns", labels)
-        .Record(Now() - flush_start);
-  }
-}
-
-void IngestQueue::ShipSealed(const SealedBatch& batch) {
-  obs::TraceCollector* trace =
-      env_ == nullptr ? nullptr : &env_->obs().trace();
-  std::string payload;
-  lasagna::EncodeLogEntries(&payload, batch.entries);
-  // Bounded in-flight window: past it the sender blocks until the oldest
-  // transfer completes — the only place pipelined ingest waits on the wire.
-  sim::Nanos waited = timeline_.WaitForSlot(options_.max_in_flight_batches);
-  if (waited > 0 && env_ != nullptr) {
-    env_->obs()
-        .metrics()
-        .GetHistogram("ingest.backpressure_ns")
-        .Record(waited);
-  }
-  obs::TraceContext rpc_ctx;
-  {
-    obs::ScopedSpan rpc_span(trace, "rpc.repl_batch", batch.destination);
-    if (trace != nullptr) {
-      rpc_ctx = trace->CurrentContext();
-    }
-    net_->RoundTripAsync(&timeline_, kBatchHeaderBytes + payload.size(),
-                         kAckBytes);
-  }
-  ++stats_.batches_sent;
-  stats_.bytes_sent += payload.size();
-  // The simulation applies the entries eagerly (state now, time deferred):
-  // equivalent to a background shipper whose completion nobody observes
-  // before the next quiesce barrier.
-  waldo::ProvDb* db = shards_[batch.destination];
-  obs::ScopedSpan apply_span(trace, rpc_ctx, "shard.apply_batch",
-                             batch.destination);
-  for (const lasagna::LogEntry& entry : batch.entries) {
+  obs::ScopedSpan apply(trace, rpc_ctx, apply_span, destination);
+  for (const lasagna::LogEntry& entry : entries) {
+    // InsertUnique adds only the rows (or edge halves) still missing, so a
+    // redelivered batch or a re-sent migration chunk cannot duplicate them.
     if (db->InsertUnique(entry)) {
-      ++stats_.entries_replicated;
+      ++delivery.inserted;
     }
   }
+  return delivery;
 }
 
-void IngestQueue::FlushPipelined() {
-  if (Crashed()) {
+void IngestQueue::Flush() {
+  if (env_->crashed()) {
     return;
   }
   // Seal the partial batches too: Flush drains everything pending.
@@ -192,9 +108,9 @@ void IngestQueue::FlushPipelined() {
   if (ready_.empty()) {
     return;
   }
-  obs::TraceCollector* trace =
-      env_ == nullptr ? nullptr : &env_->obs().trace();
-  sim::Nanos flush_start = Now();
+  obs::TraceCollector* trace = &env_->obs().trace();
+  obs::MetricRegistry& metrics = env_->obs().metrics();
+  sim::Nanos flush_start = env_->clock().now();
   obs::ScopedSpan flush_span(trace, "ingest.flush");
   // Foreground half: one coalesced journal write makes every sealed batch
   // durable (WAP for the cluster), and that single disk charge is the whole
@@ -211,11 +127,13 @@ void IngestQueue::FlushPipelined() {
     ++stats_.group_commits;
     stats_.group_frames += frames;
   }
-  if (MaybeCrash()) {
+  if (env_->MaybeCrash()) {
     return;  // journaled but never shipped: recovery redelivers every batch
   }
+  obs::Histogram& ack_ns = metrics.GetHistogram("ingest.ack_ns");
   for (const SealedBatch& batch : ready_) {
-    RecordAck(batch);
+    ++stats_.batches_acked;
+    ack_ns.Record(env_->clock().now() - batch.enqueued_at);
   }
   // Background half: hand each durable batch to the async shipper. Crash
   // points bracket every non-durable step; the batches stay in ready_ until
@@ -224,13 +142,27 @@ void IngestQueue::FlushPipelined() {
   std::vector<uint64_t> shipped_ids;
   shipped_ids.reserve(ready_.size());
   for (size_t i = 0; i < ready_.size(); ++i) {
-    if (MaybeCrash()) {
+    if (env_->MaybeCrash()) {
       return;  // durable but unsent (or partially sent): redelivered
     }
-    ShipSealed(ready_[i]);
+    // Bounded in-flight window: past it the sender blocks until the oldest
+    // transfer completes — the only place replication waits on the wire.
+    sim::Nanos waited = timeline_.WaitForSlot(kMaxInFlightBatches);
+    if (waited > 0) {
+      metrics.GetHistogram("ingest.backpressure_ns").Record(waited);
+    }
+    // The simulation applies the entries eagerly (state now, time
+    // deferred): equivalent to a background shipper whose completion nobody
+    // observes before the next quiesce barrier.
+    Delivery sent = Deliver(ready_[i].destination, ready_[i].entries,
+                            "rpc.repl_batch", "shard.apply_batch",
+                            /*async=*/true);
+    ++stats_.batches_sent;
+    stats_.bytes_sent += sent.bytes;
+    stats_.entries_replicated += sent.inserted;
     shipped_ids.push_back(batch_ids[i]);
   }
-  if (MaybeCrash()) {
+  if (env_->MaybeCrash()) {
     return;  // every batch in flight, none acknowledged: redelivered
   }
   // The REPL_APPLIED marks are one more coalesced write. Logically they
@@ -248,34 +180,20 @@ void IngestQueue::FlushPipelined() {
     stats_.group_frames += frames;
   }
   ready_.clear();
-  if (env_ != nullptr) {
-    obs::MetricRegistry& metrics = env_->obs().metrics();
-    metrics.GetCounter("ingest.flushes").Add();
-    metrics.GetHistogram("ingest.flush_ns").Record(Now() - flush_start);
-  }
-}
-
-void IngestQueue::Flush() {
-  if (options_.pipelined) {
-    FlushPipelined();
-    return;
-  }
-  for (size_t shard = 0; shard < pending_.size(); ++shard) {
-    FlushShardSync(static_cast<int>(shard));
-  }
+  metrics.GetCounter("ingest.flushes").Add();
+  metrics.GetHistogram("ingest.flush_ns")
+      .Record(env_->clock().now() - flush_start);
 }
 
 sim::Nanos IngestQueue::Quiesce() {
-  if (Crashed()) {
+  if (env_->crashed()) {
     return 0;
   }
   sim::Nanos charged = timeline_.Drain();
-  if (env_ != nullptr) {
-    obs::MetricRegistry& metrics = env_->obs().metrics();
-    metrics.GetCounter("ingest.quiesces").Add();
-    if (charged > 0) {
-      metrics.GetHistogram("ingest.quiesce_wait_ns").Record(charged);
-    }
+  obs::MetricRegistry& metrics = env_->obs().metrics();
+  metrics.GetCounter("ingest.quiesces").Add();
+  if (charged > 0) {
+    metrics.GetHistogram("ingest.quiesce_wait_ns").Record(charged);
   }
   return charged;
 }
@@ -290,78 +208,37 @@ void IngestQueue::DropPending() {
 
 uint64_t IngestQueue::Redeliver(
     int destination, const std::vector<lasagna::LogEntry>& entries) {
-  obs::TraceCollector* trace =
-      env_ == nullptr ? nullptr : &env_->obs().trace();
-  obs::ScopedSpan redeliver_span(trace, "ingest.redeliver", destination);
-  std::string payload;
-  lasagna::EncodeLogEntries(&payload, entries);
-  obs::TraceContext rpc_ctx;
-  {
-    obs::ScopedSpan rpc_span(trace, "rpc.repl_batch", destination);
-    if (trace != nullptr) {
-      rpc_ctx = trace->CurrentContext();
-    }
-    net_->RoundTrip(kBatchHeaderBytes + payload.size(), kAckBytes);
-  }
-  uint64_t inserted = 0;
-  waldo::ProvDb* db = shards_[destination];
-  obs::ScopedSpan apply_span(trace, rpc_ctx, "shard.apply_batch",
-                             destination);
-  for (const lasagna::LogEntry& entry : entries) {
-    if (db->InsertUnique(entry)) {
-      ++inserted;
-    }
-  }
-  return inserted;
+  obs::ScopedSpan redeliver_span(&env_->obs().trace(), "ingest.redeliver",
+                                 destination);
+  return Deliver(destination, entries, "rpc.repl_batch", "shard.apply_batch",
+                 /*async=*/false)
+      .inserted;
 }
 
 IngestQueue::ShipReport IngestQueue::ShipTo(
     int destination, const std::vector<lasagna::LogEntry>& entries) {
   ShipReport report;
-  obs::TraceCollector* trace =
-      env_ == nullptr ? nullptr : &env_->obs().trace();
-  waldo::ProvDb* db = shards_[destination];
-  for (size_t at = 0; at < entries.size(); at += options_.batch_records) {
-    if (MaybeCrash()) {
+  for (size_t at = 0; at < entries.size(); at += batch_records_) {
+    if (env_->MaybeCrash()) {
       break;  // mid-copy crash: recovery re-ships the whole range
     }
-    sim::Nanos chunk_start = Now();
-    obs::ScopedSpan chunk_span(trace, "migrate.ship_chunk", destination);
-    size_t batch_end = std::min(at + options_.batch_records, entries.size());
+    sim::Nanos chunk_start = env_->clock().now();
+    obs::ScopedSpan chunk_span(&env_->obs().trace(), "migrate.ship_chunk",
+                               destination);
+    size_t batch_end = std::min(at + batch_records_, entries.size());
     std::vector<lasagna::LogEntry> chunk(entries.begin() + at,
                                          entries.begin() + batch_end);
-    std::string payload;
-    lasagna::EncodeLogEntries(&payload, chunk);
-    obs::TraceContext rpc_ctx;
-    {
-      obs::ScopedSpan rpc_span(trace, "rpc.ship", destination);
-      if (trace != nullptr) {
-        rpc_ctx = trace->CurrentContext();
-      }
-      net_->RoundTrip(kBatchHeaderBytes + payload.size(), kAckBytes);
-    }
+    Delivery sent = Deliver(destination, chunk, "rpc.ship",
+                            "shard.apply_chunk", /*async=*/false);
     ++report.batches;
-    report.bytes += payload.size();
-    {
-      obs::ScopedSpan apply_span(trace, rpc_ctx, "shard.apply_chunk",
-                                 destination);
-      for (const lasagna::LogEntry& entry : chunk) {
-        // InsertUnique adds only the rows (or edge halves) still missing, so
-        // re-sending previously replicated entries cannot duplicate them.
-        if (db->InsertUnique(entry)) {
-          ++report.entries_shipped;
-        } else {
-          ++report.entries_skipped;
-        }
-      }
-    }
+    report.bytes += sent.bytes;
+    report.entries_shipped += sent.inserted;
+    report.entries_skipped += chunk.size() - sent.inserted;
     chunk_span.End();
-    if (env_ != nullptr) {
-      env_->obs()
-          .metrics()
-          .GetHistogram("migrate.ship_chunk_ns", ShardLabel(destination))
-          .Record(Now() - chunk_start);
-    }
+    env_->obs()
+        .metrics()
+        .GetHistogram("migrate.ship_chunk_ns", ShardLabel(destination))
+        .Record(env_->clock().now() - chunk_start);
   }
   stats_.migrate_batches += report.batches;
   stats_.migrate_bytes += report.bytes;

@@ -13,10 +13,11 @@
 //     its destination — before the network sees a byte, and a REPL_APPLIED
 //     record only after the remote apply, so a coordinator crash at any
 //     point can be replayed (the apply path is ProvDb::InsertUnique, which
-//     makes redelivery idempotent). In the pipelined path the REPL_BATCH
-//     records of one sync drain are group-committed: coalesced into a
-//     single disk write, which is the durable point the workload is acked
-//     at (see BeginGroup/CommitGroup below);
+//     makes redelivery idempotent). The REPL_BATCH records of one ingest
+//     flush are group-committed: coalesced into a single disk write, which
+//     is the durable point the workload is acked at, and their
+//     REPL_APPLIED records follow as one more group (see
+//     BeginGroup/CommitGroup below);
 //
 //   * a range migration is a journaled three-phase protocol:
 //     MIGRATE_BEGIN -> EPOCH_BUMP (the ShardMap reassignment, the durable

@@ -241,6 +241,43 @@ void ExpectFederatedMatchesMerged(ClusterCoordinator* cluster,
   }
 }
 
+// ---- Pipelined replication ---------------------------------------------------
+
+// Sync returns at the journal-durable point with transfers still in flight;
+// Quiesce charges exactly the part of them the foreground has not covered,
+// once, and leaves the federated view equal to the merged one.
+TEST(ClusterTest, QuiesceChargesTheInFlightTailOnce) {
+  ClusterCoordinator cluster(SmallCluster(4));
+  BuildCrossShardChain(&cluster, 12);
+  ASSERT_TRUE(cluster.Sync().ok());
+  ASSERT_GT(cluster.ingest_stats().batches_sent, 0u);
+
+  sim::Nanos before = cluster.env().clock().now();
+  sim::Nanos charged = cluster.Quiesce();
+  EXPECT_GT(charged, 0);
+  EXPECT_EQ(cluster.env().clock().now() - before, charged);
+  EXPECT_EQ(cluster.Quiesce(), 0);
+  EXPECT_EQ(cluster.replication_timeline().InFlight(), 0u);
+  ExpectFederatedMatchesMerged(&cluster, "after quiesce");
+}
+
+// One flush that seals more batches than the in-flight window holds must
+// block on the oldest transfer (backpressure) instead of queueing unbounded.
+TEST(ClusterTest, FlushPastTheInFlightWindowAppliesBackpressure) {
+  ClusterCoordinator cluster(SmallCluster(2, /*batch=*/1));
+  BuildCrossShardChain(&cluster, 48);
+  ASSERT_TRUE(cluster.Sync().ok());
+  // Two flushes (one per shard) at one record per batch: at least one of
+  // them sealed more than the window.
+  EXPECT_GT(cluster.ingest_stats().batches_sent,
+            2 * IngestQueue::kMaxInFlightBatches);
+  const obs::Histogram& backpressure =
+      cluster.env().obs().metrics().GetHistogram("ingest.backpressure_ns");
+  EXPECT_GT(backpressure.count(), 0u);
+  EXPECT_GT(backpressure.min(), 0u);
+  ExpectFederatedMatchesMerged(&cluster, "after backpressure");
+}
+
 TEST(ClusterTest, MigrateRangeMovesOwnershipAndRows) {
   ClusterCoordinator cluster(SmallCluster(2));
   auto a = cluster.WriteWithLineage(0, "/a", "aaa", {});
